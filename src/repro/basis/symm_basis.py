@@ -30,12 +30,9 @@ from repro.basis.ranking import SortedRanker
 from repro.basis.spin_basis import Basis
 from repro.bits.ops import as_states, bit_mask, popcount, states_with_weight
 from repro.errors import BasisError
-from repro.symmetry.group import SymmetryGroup
+from repro.symmetry.group import STAB_TOL, SymmetryGroup
 
 __all__ = ["SymmetricBasis"]
-
-#: Stabilizer sums below this are treated as zero (state absent from sector).
-_STAB_TOL = 1e-6
 
 #: Chunk size used when filtering candidate states during construction.
 _BUILD_CHUNK = 1 << 16
@@ -104,10 +101,9 @@ class SymmetricBasis(Basis):
         kept: list[np.ndarray] = []
         stabs: list[np.ndarray] = []
         for chunk in self._candidates():
-            rep, _, stab = self._group.state_info(chunk)
-            mask = (rep == chunk) & (stab > _STAB_TOL)
+            mask, stab = self._group.sector_representatives(chunk)
             kept.append(chunk[mask])
-            stabs.append(stab[mask])
+            stabs.append(stab)
         states = np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
         stab = np.concatenate(stabs) if stabs else np.empty(0)
         self._set_representatives(states, stab)
@@ -121,7 +117,7 @@ class SymmetricBasis(Basis):
         self._stab = stab
         with np.errstate(divide="ignore"):
             self._inv_sqrt_stab = np.where(
-                stab > _STAB_TOL, 1.0 / np.sqrt(np.maximum(stab, _STAB_TOL)), 0.0
+                stab > STAB_TOL, 1.0 / np.sqrt(np.maximum(stab, STAB_TOL)), 0.0
             )
 
     @classmethod
@@ -135,7 +131,7 @@ class SymmetricBasis(Basis):
         basis = cls(group, hamming_weight=hamming_weight, build=False)
         states = as_states(states)
         _, _, stab = group.state_info(states)
-        if np.any(stab <= _STAB_TOL):
+        if np.any(stab <= STAB_TOL):
             raise BasisError("some provided states are not in this sector")
         basis._set_representatives(states, stab)
         return basis
@@ -193,17 +189,13 @@ class SymmetricBasis(Basis):
         if not np.any(mask):
             return mask
         # Only run the group loop on states passing the cheap filters.
-        sub = c[mask]
-        rep, _, stab = self._group.state_info(sub)
-        ok = (rep == sub) & (stab > _STAB_TOL)
-        out = np.zeros(c.shape, dtype=bool)
-        out[mask] = ok
-        return out
+        mask[mask] = self._group.is_representative(c[mask])
+        return mask
 
     def project(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raw = as_states(raw_states)
         rep, phase, stab = self._group.state_info(raw)
-        valid = stab > _STAB_TOL
+        valid = stab > STAB_TOL
         factors = phase * np.sqrt(np.maximum(stab, 0.0))
         if self.is_real:
             factors = factors.real

@@ -27,6 +27,8 @@ construction time) and apply into caller-provided scratch, so the hot
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.bits.ops import BITS_DTYPE, as_states
@@ -122,7 +124,7 @@ class ByteGatherTable:
     the same trade the sublattice-coding / trie ranking schemes make.
     """
 
-    __slots__ = ("n_bytes", "_tables", "_idx", "_gathered")
+    __slots__ = ("n_bytes", "_tables", "_local")
 
     def __init__(self, perm: np.ndarray) -> None:
         perm = np.asarray(perm, dtype=np.int64)
@@ -140,17 +142,18 @@ class ByteGatherTable:
             tables.append((np.uint64(8 * byte), table))
         self._tables = tables
         self.n_bytes = len(tables)
-        # Lazily sized gather scratch (``np.take`` wants platform-int
-        # indices; keeping a dedicated buffer avoids a cast-allocation per
-        # stage).  Re-created only when the batch shape changes.
-        self._idx: np.ndarray | None = None
-        self._gathered: np.ndarray | None = None
+        # Lazily sized gather scratch, one pair per thread (``np.take``
+        # wants platform-int indices; keeping a dedicated buffer avoids a
+        # cast-allocation per stage).  Re-created only when the batch shape
+        # changes.
+        self._local = threading.local()
 
     def _gather_buffers(self, shape) -> tuple[np.ndarray, np.ndarray]:
-        if self._idx is None or self._idx.shape != shape:
-            self._idx = np.empty(shape, dtype=np.intp)
-            self._gathered = np.empty(shape, dtype=BITS_DTYPE)
-        return self._idx, self._gathered
+        local = self._local
+        if getattr(local, "idx", None) is None or local.idx.shape != shape:
+            local.idx = np.empty(shape, dtype=np.intp)
+            local.gathered = np.empty(shape, dtype=BITS_DTYPE)
+        return local.idx, local.gathered
 
     def apply(
         self,

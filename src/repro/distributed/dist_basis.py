@@ -15,10 +15,9 @@ from repro.basis.spin_basis import Basis
 from repro.distributed.hashing import locale_of
 from repro.errors import DistributionError
 from repro.runtime.cluster import Cluster
+from repro.symmetry.group import STAB_TOL
 
 __all__ = ["DistributedBasis"]
-
-_STAB_TOL = 1e-6
 
 
 class DistributedBasis:
@@ -65,7 +64,7 @@ class DistributedBasis:
         scales = []
         for part in self.parts:
             _, _, stab = group.state_info(part)
-            if np.any(stab <= _STAB_TOL):
+            if np.any(stab <= STAB_TOL):
                 raise DistributionError(
                     "a distributed part contains states outside the sector"
                 )

@@ -65,6 +65,13 @@ def enumerate_states(
     shortcut = use_weight_shortcut and template.hamming_weight is not None
     if shortcut:
         candidates_sorted = states_with_weight(n_sites, template.hamming_weight)
+        # Where every chunk's raw range starts in the sorted candidates: one
+        # vectorized search with ``uint64`` keys (a Python-int key makes
+        # each search convert the whole candidate array).
+        cuts = np.searchsorted(
+            candidates_sorted,
+            np.arange(n_chunks + 1, dtype=np.uint64) * np.uint64(raw_chunk),
+        )
 
     # --- filter phase: cyclic deal of chunks to locales -------------------
     kept_chunks: list[np.ndarray] = []
@@ -78,11 +85,7 @@ def enumerate_states(
         owner = chunk_index % n_locales  # cyclic distribution
         chunk_owners.append(owner)
         if shortcut:
-            span = candidates_sorted[
-                np.searchsorted(candidates_sorted, lo) : np.searchsorted(
-                    candidates_sorted, hi
-                )
-            ]
+            span = candidates_sorted[cuts[chunk_index] : cuts[chunk_index + 1]]
             weight_passing = span.size
             kept = span[template.check(span)] if span.size else span
         else:

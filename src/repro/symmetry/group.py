@@ -36,6 +36,9 @@ __all__ = ["Symmetry", "SymmetryGroup"]
 #: Two characters closer than this are considered equal during closure.
 CHARACTER_TOL = 1e-9
 
+#: Stabilizer sums below this are treated as zero (state absent from sector).
+STAB_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Symmetry:
@@ -293,11 +296,26 @@ class SymmetryGroup:
                 stab[fixed] += chi_conj
         return rep, phase, stab.real
 
+    def sector_representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """The sector membership predicate.
+
+        Returns the mask of the states that are surviving orbit
+        representatives (orbit minima with ``stab > STAB_TOL``) and the
+        stabilizer sums of the selected states, in order.  The kernel's
+        early-rejecting :meth:`~repro.symmetry.kernels.GroupKernel.representative_mask`
+        finds the orbit minima; the full :meth:`state_info` runs only on
+        those, which are about one in |G| of a random batch.
+        """
+        s = as_states(states)
+        mask = self.kernel.representative_mask(s)
+        _, _, stab = self.state_info(s[mask])
+        survives = stab > STAB_TOL
+        mask[mask] = survives
+        return mask, stab[survives]
+
     def is_representative(self, states) -> np.ndarray:
         """Boolean mask: which states are surviving orbit representatives."""
-        s = as_states(states)
-        rep, _, stab = self.state_info(s)
-        return (rep == s) & (stab > 0.5)
+        return self.sector_representatives(states)[0]
 
     def full_orbit(self, state: int) -> np.ndarray:
         """All distinct states in the orbit of a single state (sorted)."""

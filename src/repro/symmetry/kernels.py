@@ -1,4 +1,5 @@
-"""The fused, allocation-free ``state_info`` group-action kernel.
+"""The fused, allocation-free ``state_info`` group-action kernel and the
+early-rejecting representative filter.
 
 ``state_info`` — representative / character / stabilizer sum for a batch of
 states — is one of the two kernels the paper's matvec spends its time in
@@ -23,8 +24,15 @@ batch-compiled loop that
   write per improving element) and materializes the character array once
   at the end — the loop never touches a wide float/complex phase array,
   and a real-characters sector never materializes complex phases at all;
-- reuses one set of scratch buffers across calls — the steady-state loop
-  performs zero allocations beyond the result arrays.
+- reuses one set of scratch buffers per thread across calls — the
+  steady-state loop performs zero allocations beyond the result arrays,
+  and threads sharing one group never share a buffer.
+
+Basis construction only needs to know which candidates are orbit minima,
+and only about one in |G| is.  :meth:`GroupKernel.representative_mask`
+walks the same jobs but drops a state as soon as one element maps it below
+itself, so the full ``state_info`` runs only on the survivors (the
+early-rejection scheme of lattice-symmetries, arXiv:2104.04011).
 
 Results match the reference element-for-element: representatives exactly,
 stabilizer sums up to float summation order, and phases exactly on every
@@ -33,6 +41,7 @@ state that survives the sector (see ``tests/test_state_info_fast.py``).
 
 from __future__ import annotations
 
+import threading
 from time import perf_counter
 
 import numpy as np
@@ -149,18 +158,89 @@ class GroupKernel:
             if needs_reversal
             else None
         )
-        self._scratch: _Scratch | None = None
+        self._local = threading.local()
 
     # -- scratch management -------------------------------------------------
+
+    @property
+    def _scratch(self) -> _Scratch | None:
+        """The calling thread's scratch (``None`` before its first call)."""
+        return getattr(self._local, "scratch", None)
 
     def _buffers(self, shape) -> _Scratch:
         scratch = self._scratch
         if scratch is None or scratch.shape != shape:
             scratch = _Scratch(shape)
-            self._scratch = scratch
+            self._local.scratch = scratch
         return scratch
 
-    # -- the kernel ---------------------------------------------------------
+    # -- the kernels --------------------------------------------------------
+
+    def _permute(self, tag, payload, s, rev, out, tmp) -> np.ndarray:
+        """One job's permuted batch ``p(s)``, written to ``out`` unless the
+        strategy can return ``s`` or the reversed batch ``rev`` as is.
+
+        ``rev`` (``reversal(s)``) is read by reversed-rotation jobs only;
+        ``tmp`` is clobbered.
+        """
+        if tag == "id":
+            return s
+        if tag == "net":
+            return payload.apply_into(s, out, tmp)
+        if tag == "revrot":
+            if payload is None:  # pure reversal
+                return rev
+            s = rev
+        kk, nk = payload
+        np.left_shift(s, kk, out=out)
+        np.right_shift(s, nk, out=tmp)
+        np.bitwise_or(out, tmp, out=out)
+        np.bitwise_and(out, self._flip_mask, out=out)
+        return out
+
+    def representative_mask(self, states) -> np.ndarray:
+        """Mask of the states that no group element maps to a smaller state.
+
+        These are the orbit minima, the states with ``rep == s`` in
+        :meth:`state_info`.  The filter visits the same distinct
+        permutations with the same strategies and flip companions, but
+        after each permutation it compacts the batch to the states still
+        alive.  Any non-identity element maps about half of a batch below
+        itself, so the work drops from |G| full-width passes to a few.
+        Its buffers are local to the call.
+        """
+        s = as_states(states)
+        alive = s.ravel()
+        positions = np.arange(alive.size)
+        y = np.empty_like(alive)
+        tmp = np.empty_like(alive)
+        keep = np.empty(alive.shape, dtype=bool)
+        ok = np.empty(alive.shape, dtype=bool)
+        rev = None
+        for tag, payload, variants in self._jobs:
+            m = alive.size
+            if m == 0:
+                break
+            if tag == "revrot" and rev is None:
+                rev = self._reversal.apply(alive, scratch=tmp[:m])
+            z0 = self._permute(tag, payload, alive, rev, y[:m], tmp[:m])
+            k = keep[:m]
+            k.fill(True)
+            for flip, _, _ in variants:
+                if tag == "id" and not flip:
+                    continue
+                z = np.bitwise_xor(z0, self._flip_mask, out=tmp[:m]) if flip else z0
+                np.greater_equal(z, alive, out=ok[:m])
+                k &= ok[:m]
+            if k.all():
+                continue
+            alive = alive[k]
+            positions = positions[k]
+            if rev is not None:
+                rev = rev[k]
+        mask = np.zeros(s.size, dtype=bool)
+        mask[positions] = True
+        return mask.reshape(s.shape)
 
     def state_info(
         self, states
@@ -182,33 +262,11 @@ class GroupKernel:
         stab = np.zeros(s.shape, dtype=dtype)
         sc = self._buffers(s.shape)
 
-        rev_ready = False
+        rev = None
         for tag, payload, variants in self._jobs:
-            if tag == "id":
-                z0 = s
-            elif tag == "rot":
-                kk, nk = payload
-                np.left_shift(s, kk, out=sc.y)
-                np.right_shift(s, nk, out=sc.net)
-                np.bitwise_or(sc.y, sc.net, out=sc.y)
-                np.bitwise_and(sc.y, self._flip_mask, out=sc.y)
-                z0 = sc.y
-            elif tag == "revrot":
-                if not rev_ready:
-                    self._reversal.apply(s, out=sc.rev, scratch=sc.net)
-                    rev_ready = True
-                if payload is None:  # pure reversal
-                    z0 = sc.rev
-                else:
-                    kk, nk = payload
-                    np.left_shift(sc.rev, kk, out=sc.y)
-                    np.right_shift(sc.rev, nk, out=sc.net)
-                    np.bitwise_or(sc.y, sc.net, out=sc.y)
-                    np.bitwise_and(sc.y, self._flip_mask, out=sc.y)
-                    z0 = sc.y
-            else:
-                payload.apply_into(s, sc.y, sc.net)
-                z0 = sc.y
+            if tag == "revrot" and rev is None:
+                rev = self._reversal.apply(s, out=sc.rev, scratch=sc.net)
+            z0 = self._permute(tag, payload, s, rev, sc.y, sc.net)
             for flip, chi_conj, vidx in variants:
                 if tag == "id" and not flip:
                     # g(s) == s for every state: pure stabilizer credit.

@@ -62,6 +62,27 @@ class TestEnumeration:
         for a, b in zip(slow.parts, fast.parts):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_weight_shortcut_keeps_basis_and_report(self, n):
+        """The shortcut's vectorized chunk search selects exactly the raw
+        range's weight-passing states, so the parts and every simulated
+        timing equal the faithful raw-range enumeration."""
+        group = chain_symmetries(n, momentum=0, parity=0, inversion=0)
+        template = SymmetricBasis(group, hamming_weight=n // 2, build=False)
+        cluster = make_cluster(3)
+        raw, raw_report = enumerate_states(cluster, template)
+        fast, fast_report = enumerate_states(
+            cluster, template, use_weight_shortcut=True
+        )
+        assert fast.dim == SymmetricBasis(group, hamming_weight=n // 2).dim
+        for a, b in zip(raw.parts, fast.parts):
+            assert np.array_equal(a, b)
+        assert fast_report.elapsed == raw_report.elapsed
+        assert fast_report.phase_elapsed == raw_report.phase_elapsed
+        assert fast_report.messages == raw_report.messages
+        assert fast_report.bytes_sent == raw_report.bytes_sent
+        assert fast_report.extras == raw_report.extras
+
     def test_parts_hash_correctly(self):
         cluster = make_cluster(4)
         dbasis, _ = enumerate_states(cluster, SpinBasis(10, hamming_weight=5))

@@ -10,8 +10,13 @@ the exact contract against
 - stabilizer sums agree to float-summation tolerance;
 - phases agree exactly on every state that survives the sector (for
   non-surviving states the phase is order-dependent and unused — any
-  element reaching the minimum is a valid witness).
+  element reaching the minimum is a valid witness);
+- the early-rejecting ``representative_mask`` marks exactly the states the
+  reference maps to themselves.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -46,6 +51,9 @@ def assert_matches_reference(group: SymmetryGroup, states: np.ndarray) -> None:
     )
     if group.is_real:
         assert phase.dtype == np.float64, "real sector must avoid complex phases"
+    np.testing.assert_array_equal(
+        group.kernel.representative_mask(states), rep_ref == states
+    )
 
 
 chain_cases = st.integers(4, 20).flatmap(
@@ -164,3 +172,50 @@ class TestStrategyClassification:
         scratch_first = group.kernel._scratch
         group.state_info(states)
         assert group.kernel._scratch is scratch_first
+
+
+class TestThreadSafety:
+    @pytest.mark.parametrize("method", ["state_info", "representative_mask"])
+    def test_threads_share_one_group(self, method):
+        """Threads calling one group's kernel concurrently get the serial
+        results: neither the kernel's scratch nor a permutation's gather
+        buffers are shared between threads.  Equal batch shapes make a
+        shared buffer collide."""
+        group = chain_symmetries(20, 0, 0, 0)
+        kernel_call = getattr(group.kernel, method)
+
+        def call(states):
+            out = kernel_call(states)
+            return out if isinstance(out, tuple) else (out,)
+
+        batches = [random_states(20, 40_000, seed) for seed in range(4)]
+        expected = [call(b) for b in batches]
+        start = threading.Barrier(len(batches))
+        failures: list[str] = []
+
+        def work(i: int) -> None:
+            start.wait()
+            try:
+                for _ in range(10):
+                    got = call(batches[i])
+                    if not all(
+                        np.array_equal(a, b) for a, b in zip(got, expected[i])
+                    ):
+                        failures.append(f"thread {i}: result differs")
+            except Exception as exc:  # a race can also raise
+                failures.append(f"thread {i}: {exc!r}")
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(len(batches))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:5]

@@ -4,9 +4,18 @@ group-projector construction."""
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.basis import SpinBasis, SymmetricBasis
+from repro.bits.ops import states_with_weight
 from repro.errors import BasisError, InvalidSectorError
-from repro.symmetry import chain_symmetries, sector_dimension
+from repro.symmetry import (
+    SymmetryGroup,
+    chain_symmetries,
+    rectangle_translation,
+    sector_dimension,
+    spin_inversion,
+)
+from repro.telemetry import Telemetry
 
 
 def projector_matrix(group, u1_basis):
@@ -170,3 +179,81 @@ class TestConstruction:
         states = basis.states
         basis.build()
         assert basis.states is states
+
+
+def reference_sector(group, hamming_weight):
+    """Oracle: surviving representatives and their stabilizer sums from a
+    full ``state_info_reference`` pass over every candidate."""
+    n = group.n_sites
+    if hamming_weight is None:
+        candidates = np.arange(1 << n, dtype=np.uint64)
+    else:
+        candidates = states_with_weight(n, hamming_weight)
+    rep, _, stab = group.state_info_reference(candidates)
+    keep = (rep == candidates) & (stab > 1e-6)
+    return candidates, keep, stab[keep]
+
+
+def _square4x4(kx, ky, z):
+    return SymmetryGroup.from_generators(
+        [
+            rectangle_translation(4, 4, 0, kx),
+            rectangle_translation(4, 4, 1, ky),
+            spin_inversion(16, z),
+        ]
+    )
+
+
+FILTER_SECTORS = (
+    # every momentum of a 12-site chain, complex ones included
+    [
+        pytest.param(lambda k=k: chain_symmetries(12, k, None, None), w, id=f"chain12-k{k}-w{w}")
+        for k in range(12)
+        for w in (6, None)
+    ]
+    # parity +/- at the real momenta, spin inversion +/-
+    + [
+        pytest.param(lambda k=k, p=p, z=z: chain_symmetries(12, k, p, z), w, id=f"chain12-k{k}-p{p}-z{z}-w{w}")
+        for k in (0, 6)
+        for p, z in ((0, None), (1, None), (None, 0), (None, 1), (0, 0), (1, 1))
+        for w in (6, None)
+    ]
+    + [
+        pytest.param(lambda kx=kx, ky=ky, z=z: _square4x4(kx, ky, z), 8, id=f"square4x4-k{kx}{ky}-z{z}")
+        for kx, ky, z in ((0, 0, 0), (1, 0, 1), (2, 2, 0), (1, 3, 1))
+    ]
+    + [
+        pytest.param(lambda: SymmetryGroup.trivial(10), 5, id="trivial-w5"),
+        pytest.param(lambda: SymmetryGroup.trivial(8), None, id="trivial"),
+        # the all-down state's full stabilizer has a nontrivial character at
+        # k=1, so the sector is empty
+        pytest.param(lambda: chain_symmetries(4, 1, None, None), 0, id="empty"),
+    ]
+)
+
+
+class TestRepresentativeFilter:
+    """The early-rejecting build and ``check`` equal a full reference pass."""
+
+    @pytest.mark.parametrize("make_group,weight", FILTER_SECTORS)
+    def test_build_and_check_match_reference(self, make_group, weight):
+        group = make_group()
+        candidates, keep, stab = reference_sector(group, weight)
+        basis = SymmetricBasis(group, hamming_weight=weight)
+        np.testing.assert_array_equal(basis.states, candidates[keep])
+        np.testing.assert_allclose(basis.stabilizer_sums, stab, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(basis.check(candidates), keep)
+        np.testing.assert_array_equal(group.is_representative(candidates), keep)
+
+    def test_empty_sector_is_empty(self):
+        basis = SymmetricBasis(chain_symmetries(4, 1, None, None), hamming_weight=0)
+        assert basis.dim == 0
+
+    def test_full_state_info_runs_on_survivors_only(self):
+        tele = Telemetry.enabled()
+        with telemetry.use(tele):
+            basis = SymmetricBasis(
+                chain_symmetries(20, 0, 0, 0), hamming_weight=10
+            )
+        full_passes = tele.metrics.counter_total("kernel.state_info_states")
+        assert basis.dim <= full_passes <= 2 * basis.dim
