@@ -6,31 +6,62 @@ processes over the executor abstraction of
 selects:
 
 - ``backend="sim"`` (default): the discrete-event simulation that moves
-  real data while charging modelled time — byte-for-byte the original
-  protocol with identical simulated timings;
+  real data while charging modelled time;
 - ``backend="threads"``: every producer/consumer is a real OS thread,
   the NumPy kernels between yields release the GIL and genuinely
   overlap, and the report carries wall-clock seconds instead of
   simulated ones.
 
-The protocol itself is backend-independent:
+The pipeline is backend-independent:
 
 - on every locale, the core pool is split into *producers* and *consumers*
   (the paper uses 104/24 of 128 cores);
 - each producer owns one reusable :class:`RemoteBuffer` per destination
   locale; it generates chunks of matrix elements (``getManyRows``),
   partitions them by destination in linear time, and pushes each partition
-  with a remote put — but only after its local ``isFull`` atomic reads
-  false, which is the paper's deadlock-free synchronization protocol
-  (set the local flag first, then the remote one via an active message);
+  with a remote put once the buffer may be reused;
 - consumers pop filled buffers from their locale's ready queue, run
   ``stateToIndex`` (binary search in the local basis slice) and the atomic
-  accumulate, then clear the producer's flag with a remote atomic write.
+  accumulate, then release the buffer back to its producer.
 
 Communication therefore overlaps computation, buffers are reused (no
 allocation/pinning in the steady state), and no remote tasks are ever
 spawned — the three structural advantages over the naive/batched variants
 and over the collective-based SPINPACK baseline.
+
+There is one producer body and one consumer body; every step where
+delivery can differ — wait-before-reuse, transmit, receive-and-release,
+and termination — belongs to a *handshake* policy:
+
+- :class:`_FlagHandshake`, the paper's deadlock-free ``isFull`` protocol:
+  the producer waits for its local flag to read false, sets it, and puts;
+  the consumer clears it with a remote atomic write;
+- :class:`_ArqHandshake`, the self-healing protocol: every handoff
+  carries a sequence number and a CRC32 over the amplitude batch,
+  producers wait for explicit acknowledgements with a timeout +
+  exponential-backoff retransmit, and consumers discard corrupt or
+  duplicate deliveries (re-acknowledging the latter).  An exhausted retry
+  budget raises a typed :class:`~repro.errors.FaultError`; a
+  crash-induced stall surfaces as a :class:`~repro.errors.DeadlockError`
+  (also a ``FaultError``) — the run never hangs and never returns
+  silently wrong amplitudes.
+
+The policy follows from the arguments: an armed ``faults=``
+(:class:`~repro.resilience.faults.FaultPlan`) selects ARQ, and so does a
+bare ``resilience=`` (:class:`~repro.resilience.faults.ResilienceConfig`)
+on ``sim``, which charges the protocol's modelled checksum and
+acknowledgement cost.  Fault-free on ``threads``, coherent shared memory
+cannot drop, duplicate or corrupt a payload, so the flag handshake runs
+there; ``report.extras["resilient"]`` still marks the run.
+
+Under ARQ, ``sim`` draws fates from the plan's sequential RNG stream and
+simulates the timers — bit-identical replays.  ``threads`` keys each fate
+on the message identity (edge, buffer, attempt), so fate assignment is
+deterministic under any interleaving; injected delays really postpone
+deliveries, crashes really kill worker threads (supervised consumers
+restart with bounded backoff, an unrecovered crash escalates as a typed
+``FaultError``), and ack timeouts are wall-clock.  See
+``docs/RESILIENCE.md``, "Chaos on the threads backend".
 
 On a single locale the implementation switches to the shared-memory mode
 (every core both generates and consumes), matching how the paper's
@@ -39,30 +70,6 @@ single-node reference numbers are obtained.
 ``work_stealing=True`` enables the paper's proposed future-work
 optimization: a producer that runs out of chunks re-registers as an extra
 consumer on its locale instead of idling.
-
-Passing ``faults=`` (a :class:`~repro.resilience.faults.FaultPlan`) or
-``resilience=`` (a :class:`~repro.resilience.faults.ResilienceConfig`)
-switches to the *self-healing* pipeline: every handoff carries a sequence
-number and a CRC32 over the amplitude batch, producers wait for explicit
-acknowledgements with a timeout + exponential-backoff retransmit, and
-consumers discard corrupt or duplicate deliveries (re-acknowledging the
-latter).  An exhausted retry budget raises a typed
-:class:`~repro.errors.FaultError`; a crash-induced stall surfaces as a
-:class:`~repro.errors.DeadlockError` (also a ``FaultError``) from the
-simulator watchdog — the run never hangs and never returns silently wrong
-amplitudes.  The default (no faults, no resilience) path is byte-for-byte
-the original protocol with identical simulated timings.
-
-The self-healing pipeline runs on *both* backends.  On ``sim`` fates are
-drawn per delivery from the plan's sequential RNG stream and timers are
-simulated — bit-identical replays.  On ``threads`` the same seeded plan
-derives each message's fate from its identity (edge, buffer, attempt) so
-fate assignment is deterministic even though timing is wall-clock;
-injected delays really postpone deliveries, crashes really kill worker
-threads (supervised consumers restart with bounded backoff, an
-unrecovered crash escalates as a typed ``FaultError``), and ack timeouts
-are wall-clock.  See ``docs/RESILIENCE.md``, "Chaos on the threads
-backend".
 """
 
 from __future__ import annotations
@@ -97,6 +104,12 @@ __all__ = ["matvec_producer_consumer", "split_cores"]
 #: (24 of 128 in the paper's Sec. 6.3 accounting).
 DEFAULT_CONSUMER_FRACTION = 24 / 128
 
+#: The Python DES cannot afford hundreds of generator processes per
+#: locale; it simulates at most this many "representative" workers per
+#: side, whose per-element rates are scaled so each stands for
+#: real_cores/sim_workers physical cores.
+_MAX_SIM_WORKERS = 8
+
 _SENTINEL = object()
 
 
@@ -124,25 +137,89 @@ def split_cores(cores: int, consumer_fraction: float) -> tuple[int, int]:
     return cores - consumers, consumers
 
 
+def _worker_counts(
+    cores: int,
+    wall_clock: bool,
+    consumer_fraction: float,
+    producers: int | None,
+    consumers: int | None,
+) -> tuple[int, int, int, int]:
+    """Per-locale ``(n_prod, n_cons, sim_prod, sim_cons)``.
+
+    ``n_*`` is the physical split the rates are charged for: the explicit
+    overrides, else :func:`split_cores`.  ``sim_*`` is how many processes
+    stand for it.  On ``threads`` every worker is a real thread (default
+    one producer and one consumer per locale) and both pairs agree; on
+    ``sim`` each side is capped at ``_MAX_SIM_WORKERS``.  The overrides
+    come together or not at all.
+    """
+    if (producers is None) != (consumers is None):
+        raise ConfigError(
+            "producers_per_locale and consumers_per_locale must be given "
+            f"together, got {producers!r} and {consumers!r}"
+        )
+    if producers is None:
+        n_prod, n_cons = split_cores(cores, consumer_fraction)
+        if wall_clock:
+            n_prod = n_cons = 1
+    else:
+        n_prod, n_cons = producers, consumers
+    if wall_clock:
+        return n_prod, n_cons, n_prod, n_cons
+    return (
+        n_prod,
+        n_cons,
+        min(n_prod, _MAX_SIM_WORKERS),
+        min(n_cons, _MAX_SIM_WORKERS),
+    )
+
+
 class RemoteBuffer:
     """One producer's reusable transfer buffer towards one locale.
 
-    ``rows`` piggybacks the plan's consumer-side ``stateToIndex`` cache
-    slice (or ``None`` without a plan) — it is not part of the simulated
-    wire payload, which is :func:`~repro.distributed.matvec_common.wire_bytes`
-    per element (16 bytes for a single vector; the betas travel once and
-    block columns add 8 bytes each).
+    ``flag`` is the handshake's per-buffer atomic: the paper's
+    ``isFullLocal`` under the flag handshake, the acknowledgement flag
+    under ARQ.  ``rows`` piggybacks the plan's consumer-side
+    ``stateToIndex`` cache slice (or ``None`` without a plan) — it is not
+    part of the simulated wire payload, which is
+    :func:`~repro.distributed.matvec_common.wire_bytes` per element (16
+    bytes for a single vector; the betas travel once and block columns
+    add 8 bytes each).  The remaining fields are ARQ state (see
+    :class:`_ArqHandshake`), at rest under the flag handshake.
     """
 
-    __slots__ = ("src", "dest", "is_full_local", "betas", "values", "rows")
+    __slots__ = (
+        "src", "dest", "uid", "flag", "lock", "betas", "values", "rows",
+        "seq", "acked_seq", "consumed_seq", "checksum", "payload", "fates",
+    )
 
-    def __init__(self, ex: Executor, src: int, dest: int) -> None:
+    def __init__(
+        self, ex: Executor, src: int, dest: int, uid: int, flag_name=None
+    ) -> None:
         self.src = src
         self.dest = dest
-        self.is_full_local = ex.flag(False)
+        #: deterministic buffer id — the salt of the keyed fate draws on
+        #: the threads backend (two producers on one locale must not
+        #: share a fate stream)
+        self.uid = uid
+        self.flag = ex.flag(False, name=flag_name)
+        #: guards wire-field snapshots, consumed_seq check-and-claim,
+        #: acked_seq merges and fate counters on threads (a no-op context
+        #: on the simulator, where atomicity between yields is free)
+        self.lock = ex.lock()
+        #: wire fields — what the consumer sees (possibly corrupted)
         self.betas: np.ndarray | None = None
         self.values: np.ndarray | None = None
         self.rows: np.ndarray | None = None
+        self.seq = 0
+        self.acked_seq = 0
+        self.consumed_seq = 0
+        self.checksum = 0
+        #: clean (betas, values, rows) kept for retransmits
+        self.payload: tuple | None = None
+        #: keyed fate draws so far, [data, ack] (threads backend: every
+        #: transmit attempt / ack gets its own fate)
+        self.fates = [0, 0]
 
 
 def matvec_producer_consumer(
@@ -163,45 +240,52 @@ def matvec_producer_consumer(
     """``y = H x`` with the producer-consumer pipeline.
 
     ``producers_per_locale`` / ``consumers_per_locale`` override the
-    ``consumer_fraction`` split (they are capped at sensible values for the
-    Python simulation — what matters for the timing model is the *ratio*
-    and the per-core rates, both of which are preserved).  On the real
-    ``threads`` backend they are literal thread counts (default one
-    producer and one consumer thread per locale).
+    ``consumer_fraction`` split and must be given together (on ``sim``
+    they are capped at sensible values for the Python simulation — what
+    matters for the timing model is the *ratio* and the per-core rates,
+    both of which are preserved).  On the real ``threads`` backend they
+    are literal thread counts (default one producer and one consumer
+    thread per locale).  ``batch_size``, ``buffer_capacity`` and the
+    worker counts must be at least 1; violations raise
+    :class:`~repro.errors.ConfigError`.
 
-    ``faults`` / ``resilience`` activate the self-healing protocol (see
-    the module docstring); either one alone suffices (a bare
-    ``resilience=ResilienceConfig()`` measures the fault-free overhead of
-    sequence numbers + checksums).  Both backends are supported.
+    ``faults`` / ``resilience`` request the self-healing protocol; see
+    the module docstring for how they select the handshake (a bare
+    ``resilience=ResilienceConfig()`` on ``sim`` measures the fault-free
+    overhead of sequence numbers + checksums).
     """
+    for name, value in (
+        ("batch_size", batch_size),
+        ("buffer_capacity", buffer_capacity),
+        ("producers_per_locale", producers_per_locale),
+        ("consumers_per_locale", consumers_per_locale),
+    ):
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    wall_clock = getattr(basis.cluster, "backend", "sim") == "threads"
+    workers = _worker_counts(
+        basis.cluster.machine.cores_per_locale,
+        wall_clock,
+        consumer_fraction,
+        producers_per_locale,
+        consumers_per_locale,
+    )
     y = check_vectors(basis, x, y)
-    machine = basis.cluster.machine
-    n = basis.n_locales
-    k = x.n_columns
-    ledger = CostLedger(n)
-    report = SimReport(ledger=ledger)
+    report = SimReport(ledger=CostLedger(basis.n_locales))
     tele = current_telemetry()
-    metrics = tele.metrics
-    metrics.gauge("matvec.block_width").set(float(k))
+    tele.metrics.gauge("matvec.block_width").set(float(x.n_columns))
     trace = tele.trace if tele.trace.enabled else None
-    backend = getattr(basis.cluster, "backend", "sim")
-    wall_clock = backend == "threads"
 
     resilient = faults is not None or resilience is not None
     if resilient and resilience is None:
         resilience = ResilienceConfig()
-    if (
-        faults is not None
-        and faults.corrupt > 0
-        and resilience is not None
-        and not resilience.checksums
-    ):
+    if faults is not None and faults.corrupt > 0 and not resilience.checksums:
         raise ValueError(
             "corruption injection with checksums disabled would return "
             "silently wrong amplitudes; enable ResilienceConfig.checksums"
         )
 
-    if n == 1:
+    if basis.n_locales == 1:
         if faults is not None:
             crashes = faults.take_crashes()
             if crashes:
@@ -215,136 +299,224 @@ def matvec_producer_consumer(
             op, basis, x, y, batch_size, report, plan, wall_clock=wall_clock
         )
 
-    if resilient:
-        return _resilient_pipeline(
-            op, basis, x, y,
-            batch_size=batch_size,
-            consumer_fraction=consumer_fraction,
-            buffer_capacity=buffer_capacity,
-            work_stealing=work_stealing,
-            producers_per_locale=producers_per_locale,
-            consumers_per_locale=consumers_per_locale,
-            plan=plan,
-            faults=faults,
-            resilience=resilience,
-            report=report,
-            ledger=ledger,
-            metrics=metrics,
-            trace=trace,
-        )
+    ex = get_executor(
+        basis.cluster, trace=trace, faults=faults, resilience=resilience
+    )
+    pipe = _Pipeline(
+        op, basis, x, y, ex, workers,
+        batch_size=batch_size,
+        buffer_capacity=buffer_capacity,
+        work_stealing=work_stealing,
+        plan=plan,
+        faults=faults,
+        # ARQ whenever faults are armed, and on sim for any resilience
+        # request (its modelled checksum/ack cost is baseline-pinned);
+        # fault-free on threads nothing can drop, duplicate or corrupt,
+        # so the flag handshake is exact there.
+        arq=faults is not None or (resilient and not ex.wall_clock),
+        resilience=resilience,
+        report=report,
+        trace=trace,
+    )
+    return pipe.run(resilient)
 
-    ex = get_executor(basis.cluster, trace=trace)
-    cores = machine.cores_per_locale
-    if producers_per_locale is None or consumers_per_locale is None:
-        n_prod, n_cons = split_cores(cores, consumer_fraction)
-    else:
-        n_prod, n_cons = producers_per_locale, consumers_per_locale
-    if ex.wall_clock:
-        # Real workers: one producer and one consumer thread per locale
-        # unless explicitly overridden.  No representative-worker rate
-        # scaling — each thread is a physical worker and its spans are
-        # stamped from the wall clock, not the machine model.
-        sim_prod = (
-            producers_per_locale if producers_per_locale is not None else 1
-        )
-        sim_cons = (
-            consumers_per_locale if consumers_per_locale is not None else 1
-        )
-        n_prod, n_cons = sim_prod, sim_cons
-    else:
-        # The Python DES cannot afford hundreds of generator processes per
-        # locale; simulate a smaller number of "representative" workers
-        # whose per-element rates are scaled so each stands for
-        # real_cores/sim_workers physical cores.  The pipeline structure
-        # (buffers, flags, stalls) is unchanged.
-        max_workers = 8
-        sim_prod = min(n_prod, max_workers)
-        sim_cons = min(n_cons, max_workers)
-    # Each simulated producer stands for n_prod/sim_prod physical cores, so
-    # its per-element time shrinks accordingly (same for consumers).
-    t_generate = machine.t_generate * sim_prod / n_prod
-    t_partition = (machine.t_partition + machine.t_hash) * sim_prod / n_prod
-    t_search = machine.t_search_accum * sim_cons / n_cons
-    # Extra block columns only pay streaming gather/scatter work, not
-    # generation, partition, or the binary search (zero for k = 1).
-    t_cols_prod = machine.t_axpy * (k - 1) * sim_prod / n_prod
-    t_cols_cons = machine.t_axpy * (k - 1) * sim_cons / n_cons
 
-    net = machine.network
-    nic = [ex.resource(1, name=f"nic{locale}") for locale in range(n)]
-    ready: list = [ex.queue(name=f"ready{locale}") for locale in range(n)]
-    producers_remaining = ex.counter(n * sim_prod)
-    inflight = ex.counter(0)
-    stall_total = ex.counter(0.0)
-    producers_done_flag = ex.flag(False)
-    drained = ex.flag(False)
-    consumer_counts = {locale: ex.counter(sim_cons) for locale in range(n)}
-    # One lock per destination locale guards the shared scatter-add into
-    # y.parts[dest] on the threads backend (no-op contexts on sim); the
-    # name keys the executor.lock_* contention histograms.
-    consume_locks = [ex.lock(f"consume{locale}") for locale in range(n)]
+class _Pipeline:
+    """The shared body of one pipelined matvec on one executor.
 
-    # Chunk lists per locale; the cursor counters hand out chunk indices
-    # atomically on both backends.
-    chunk_lists: dict[int, list[tuple[int, int]]] = {}
-    chunk_cursor: dict[int, object] = {}
-    for locale in range(n):
-        count = int(basis.counts[locale])
-        chunk_lists[locale] = [
-            (s, min(s + batch_size, count)) for s in range(0, count, batch_size)
+    Owns what both handshakes share — worker counts and rate scaling,
+    the NIC / ready-queue / counter primitives, chunk lists and cursors,
+    message accounting, the producer and consumer bodies, the closer and
+    the diagonal + report tail — and delegates every delivery step to
+    ``self.hs``.
+    """
+
+    def __init__(
+        self, op, basis, x, y, ex, workers, *, batch_size, buffer_capacity,
+        work_stealing, plan, faults, arq, resilience, report, trace,
+    ) -> None:
+        self.op, self.basis, self.x, self.y, self.ex = op, basis, x, y, ex
+        self.buffer_capacity = buffer_capacity
+        self.work_stealing = work_stealing
+        self.plan = plan
+        self.report = report
+        self.ledger = report.ledger
+        self.metrics = current_telemetry().metrics
+        self.trace = trace
+        machine = self.machine = basis.cluster.machine
+        self.net = machine.network
+        n = self.n = basis.n_locales
+        k = self.k = x.n_columns
+        n_prod, n_cons, sim_prod, sim_cons = workers
+        self.n_prod, self.n_cons = n_prod, n_cons
+        self.sim_prod, self.sim_cons = sim_prod, sim_cons
+        # Each simulated producer stands for n_prod/sim_prod physical
+        # cores, so its per-element time shrinks accordingly (same for
+        # consumers).  Extra block columns only pay streaming
+        # gather/scatter work, not generation, partition, or the binary
+        # search (zero for k = 1).
+        self.t_generate = machine.t_generate * sim_prod / n_prod
+        self.t_route = (
+            (machine.t_partition + machine.t_hash) * sim_prod / n_prod
+            + machine.t_axpy * (k - 1) * sim_prod / n_prod
+        )
+        self.t_consume = (
+            machine.t_search_accum * sim_cons / n_cons
+            + machine.t_axpy * (k - 1) * sim_cons / n_cons
+        )
+        self.slowdown = [
+            faults.slowdown(locale) if faults is not None else 1.0
+            for locale in range(n)
         ]
-        chunk_cursor[locale] = ex.counter(0)
 
-    def check_drained() -> None:
-        if producers_remaining.get() == 0 and inflight.get() == 0:
-            drained.set(True)
+        self.nic = [ex.resource(1, name=f"nic{locale}") for locale in range(n)]
+        self.ready = [ex.queue(name=f"ready{locale}") for locale in range(n)]
+        self.producers_remaining = ex.counter(n * sim_prod)
+        self.stall_total = ex.counter(0.0)
+        self.producers_done = ex.flag(False, name="producers_done")
+        self.consumer_counts = [ex.counter(sim_cons) for _ in range(n)]
+        # One lock per destination locale guards the shared scatter-add
+        # into y.parts[dest] on the threads backend (no-op contexts on
+        # sim); the name keys the executor.lock_* contention histograms.
+        self.consume_locks = [
+            ex.lock(f"consume{locale}") for locale in range(n)
+        ]
+        # Chunk lists per locale; the cursor counters hand out chunk
+        # indices atomically on both backends.
+        self.chunk_lists = []
+        self.chunk_cursor = []
+        for locale in range(n):
+            count = int(basis.counts[locale])
+            self.chunk_lists.append(
+                [(s, min(s + batch_size, count))
+                 for s in range(0, count, batch_size)]
+            )
+            self.chunk_cursor.append(ex.counter(0))
+        self.hs = (
+            _ArqHandshake(self, faults, resilience) if arq
+            else _FlagHandshake(self)
+        )
 
-    def consumer_body(locale: int):
-        busy = 0.0
+    # -- shared steps ---------------------------------------------------------
+
+    def consume(self, locale: int, betas, values, rows) -> None:
+        """``stateToIndex`` + scatter-add into the local part of ``y``."""
+        with self.consume_locks[locale]:
+            consume(
+                self.basis, locale, self.y.parts[locale], betas, values, rows
+            )
+
+    def deliver(self, fn, fate=None) -> None:
+        """Run ``fn`` — the arrival of an active message — after the
+        remote-atomic latency; an injected ``fate`` drops, delays or
+        duplicates it."""
+        extra = 0.0
+        if fate is not None:
+            if fate.drop:
+                return
+            extra = fate.extra_delay
+        ex = self.ex
+        for _ in range(2 if fate is not None and fate.duplicate else 1):
+            # The base latency is modelled (zero wall-clock on threads),
+            # but an *injected* delay must genuinely postpone the
+            # delivery on every backend.
+            if ex.wall_clock and extra > 0.0:
+                ex.call_after(extra, fn)
+            else:
+                ex.call_later(self.net.remote_atomic_latency + extra, fn)
+
+    def ship(self, rb: RemoteBuffer, size: int, fate=None, retransmit=False):
+        """Account one handoff of ``size`` elements and move ``rb`` to its
+        destination's ready queue: a memcpy on the own locale, otherwise
+        a NIC put followed by the "buffer is full" active message handled
+        by the runtime (``fastOn``)."""
+        ex, src, dest = self.ex, rb.src, rb.dest
+        nbytes = wire_bytes(size, self.k)
+        metrics = self.metrics
+        with ex.mutex:
+            self.report.messages += 1
+            self.report.bytes_sent += nbytes
+            if retransmit:
+                metrics.counter(
+                    "recovery.retransmits", src=src, dst=dest
+                ).inc()
+            else:
+                metrics.counter("matvec.messages", src=src, dst=dest).inc()
+                metrics.counter("matvec.bytes", src=src, dst=dest).inc(nbytes)
+                metrics.histogram("matvec.buffer_elements").observe(size)
+        comm_args = (
+            {"src": src, "dst": dest, "bytes": nbytes, "msgs": 1}
+            if self.trace is not None
+            else None
+        )
+        if dest == src:
+            yield Timeout(
+                self.machine.memcpy_time(nbytes, 1), "memcpy", comm_args
+            )
+            self.ready[dest].push(rb)
+        else:
+            yield Acquire(self.nic[src])
+            yield Timeout(self.net.transfer_time(nbytes), "send", comm_args)
+            self.nic[src].release()
+            self.deliver(lambda q=self.ready[dest], b=rb: q.push(b), fate)
+
+    def reclaim(self, rb: RemoteBuffer, acct: dict):
+        """Wait until ``rb`` may be refilled; the wait is stall time."""
+        ex = self.ex
+        before = ex.now
+        yield from self.hs.wait(rb, acct)
+        stalled = ex.now - before
+        if stalled > 0.0:
+            acct["stall"] += stalled
+            with ex.mutex:
+                self.metrics.histogram("matvec.stall_seconds").observe(stalled)
+
+    # -- processes ------------------------------------------------------------
+
+    def consumer(self, locale: int):
+        acct = {"search+accum": 0.0}
+        ready = self.ready[locale]
         while True:
-            rb = yield Pop(ready[locale])
+            rb = yield Pop(ready)
             if rb is _SENTINEL:
                 break
-            betas, values, rows = rb.betas, rb.values, rb.rows
-            dt = (t_search + t_cols_cons) * betas.size
-            before = ex.now
-            with consume_locks[locale]:
-                consume(basis, locale, y.parts[locale], betas, values, rows)
-            busy += (ex.now - before) if ex.wall_clock else dt
-            yield Timeout(dt, "search+accum")
-            inflight.add(-1)
-            # Clear the producer's local flag with a remote atomic write.
-            if rb.src == locale:
-                rb.is_full_local.set(False)
-            else:
-                ex.call_later(
-                    net.remote_atomic_latency,
-                    lambda flag=rb.is_full_local: flag.set(False),
-                )
-            check_drained()
-        with ex.mutex:
-            ledger.add("search+accum", locale, busy)
+            yield from self.hs.receive(rb, locale, acct)
+        with self.ex.mutex:
+            self.ledger.add("search+accum", locale, acct["search+accum"])
 
-    def producer_body(locale: int, producer_id: int):
-        buffers = [RemoteBuffer(ex, locale, d) for d in range(n)]
-        gen_busy = 0.0
-        stall = 0.0
+    def producer(self, locale: int, producer_id: int):
+        ex, hs, n = self.ex, self.hs, self.n
+        buffers = [
+            RemoteBuffer(
+                ex, locale, d,
+                uid=(locale * self.sim_prod + producer_id) * n + d,
+                flag_name=hs.flag_name and hs.flag_name.format(locale, d),
+            )
+            for d in range(n)
+        ]
+        acct = {"generate": 0.0, "stall": 0.0}
+        slow = self.slowdown[locale]
+        chunks, cursor = self.chunk_lists[locale], self.chunk_cursor[locale]
+        cap = self.buffer_capacity
         while True:
-            c = chunk_cursor[locale].add(1) - 1
-            if c >= len(chunk_lists[locale]):
+            c = cursor.add(1) - 1
+            if c >= len(chunks):
                 break
-            start, stop = chunk_lists[locale][c]
+            start, stop = chunks[c]
             gen_start = ex.now
             chunk = produce_chunk(
-                op, basis, locale, start, stop, x.parts[locale], plan
+                self.op, self.basis, locale, start, stop,
+                self.x.parts[locale], self.plan,
             )
             dt = (
-                t_generate * chunk.n_emitted
-                + (t_partition + t_cols_prod) * chunk.betas.size
+                self.t_generate * chunk.n_emitted
+                + self.t_route * chunk.betas.size
             )
-            gen_busy += (ex.now - gen_start) if ex.wall_clock else dt
+            acct["generate"] += (
+                (ex.now - gen_start) if ex.wall_clock else dt * slow
+            )
             with ex.mutex:
-                metrics.histogram("matvec.chunk_elements").observe(
+                self.metrics.histogram("matvec.chunk_elements").observe(
                     chunk.betas.size
                 )
             yield Timeout(dt, "generate")
@@ -354,744 +526,357 @@ def matvec_producer_consumer(
                 dest = (locale + 1 + shift) % n
                 betas_all, values_all = chunk.slice_for(dest)
                 rows_all = chunk.rows_for(dest)
-                for lo in range(0, betas_all.size, buffer_capacity):
-                    betas = betas_all[lo : lo + buffer_capacity]
-                    values = values_all[lo : lo + buffer_capacity]
-                    rows = (
-                        None
-                        if rows_all is None
-                        else rows_all[lo : lo + buffer_capacity]
+                rb = buffers[dest]
+                for lo in range(0, betas_all.size, cap):
+                    yield from self.reclaim(rb, acct)
+                    yield from hs.send(
+                        rb,
+                        betas_all[lo : lo + cap],
+                        values_all[lo : lo + cap],
+                        None if rows_all is None else rows_all[lo : lo + cap],
+                        acct,
                     )
-                    rb = buffers[dest]
-                    before = ex.now
-                    yield WaitFlag(rb.is_full_local, False)
-                    now = ex.now
-                    if now > before:
-                        stall += now - before
-                        with ex.mutex:
-                            metrics.histogram("matvec.stall_seconds").observe(
-                                now - before
-                            )
-                    rb.is_full_local.set(True)
-                    rb.betas = betas
-                    rb.values = values
-                    rb.rows = rows
-                    nbytes = wire_bytes(betas.size, k)
-                    with ex.mutex:
-                        report.messages += 1
-                        report.bytes_sent += nbytes
-                        metrics.counter(
-                            "matvec.messages", src=locale, dst=dest
-                        ).inc()
-                        metrics.counter(
-                            "matvec.bytes", src=locale, dst=dest
-                        ).inc(nbytes)
-                        metrics.histogram("matvec.buffer_elements").observe(
-                            betas.size
-                        )
-                    inflight.add(1)
-                    comm_args = (
-                        {"src": locale, "dst": dest, "bytes": nbytes, "msgs": 1}
-                        if trace is not None
-                        else None
-                    )
-                    if dest == locale:
-                        yield Timeout(
-                            machine.memcpy_time(nbytes, 1), "memcpy", comm_args
-                        )
-                        ready[dest].push(rb)
-                    else:
-                        yield Acquire(nic[locale])
-                        yield Timeout(
-                            net.transfer_time(nbytes), "send", comm_args
-                        )
-                        nic[locale].release()
-                        # The "buffer is full" notification is an active
-                        # message handled by the runtime (fastOn).
-                        ex.call_later(
-                            net.remote_atomic_latency,
-                            lambda q=ready[dest], b=rb: q.push(b),
-                        )
+        yield from hs.retire(buffers, acct)
         with ex.mutex:
-            ledger.add("generate", locale, gen_busy)
-            ledger.add("stall", locale, stall)
-        stall_total.add(stall)
-        if work_stealing:
-            consumer_counts[locale].add(1)
-        if producers_remaining.add(-1) == 0:
-            producers_done_flag.set(True)
-            check_drained()
-        if work_stealing:
-            yield from consumer_body(locale)
+            self.ledger.add("generate", locale, acct["generate"])
+            self.ledger.add("stall", locale, acct["stall"])
+        self.stall_total.add(acct["stall"])
+        if self.work_stealing:
+            self.consumer_counts[locale].add(1)
+        if self.producers_remaining.add(-1) == 0:
+            self.producers_done.set(True)
+        if self.work_stealing:
+            yield from self.consumer(locale)
 
-    def closer():
-        yield WaitFlag(producers_done_flag, True)
-        yield WaitFlag(drained, True)
+    def closer(self):
+        yield WaitFlag(self.producers_done, True)
+        yield from self.hs.quiesce()
+        for locale in range(self.n):
+            for _ in range(int(self.consumer_counts[locale].get())):
+                self.ready[locale].push(_SENTINEL)
+
+    def run(self, resilient: bool) -> tuple[DistributedVector, SimReport]:
+        ex, n = self.ex, self.n
         for locale in range(n):
-            for _ in range(int(consumer_counts[locale].get())):
-                ready[locale].push(_SENTINEL)
+            for p in range(self.sim_prod):
+                ex.spawn(
+                    self.producer(locale, p),
+                    name=f"prod-{locale}-{p}",
+                    track=(f"locale{locale}", f"producer{p}"),
+                    locale=locale,
+                )
+            for c in range(self.sim_cons):
+                ex.spawn(
+                    self.consumer(locale),
+                    name=f"cons-{locale}-{c}",
+                    track=(f"locale{locale}", f"consumer{c}"),
+                    locale=locale,
+                    # Only an armed fault plan crashes workers, and it
+                    # always selects ARQ, where consumers are safely
+                    # restartable: consumption state lives in the shared
+                    # buffers and consumed_seq makes reprocessing
+                    # idempotent.  Producers are NOT restartable — a lost
+                    # in-flight chunk cursor would corrupt the result, so
+                    # producer loss escalates to the operator-level
+                    # restart/fallback.
+                    factory=(lambda locale=locale: self.consumer(locale)),
+                )
+        ex.spawn(self.closer(), name="closer")
+        elapsed = ex.run()
 
-    for locale in range(n):
-        for p in range(sim_prod):
-            ex.spawn(
-                producer_body(locale, p),
-                name=f"prod-{locale}-{p}",
-                track=(f"locale{locale}", f"producer{p}"),
-                locale=locale,
-            )
-        for c in range(sim_cons):
-            ex.spawn(
-                consumer_body(locale),
-                name=f"cons-{locale}-{c}",
-                track=(f"locale{locale}", f"consumer{c}"),
-                locale=locale,
-            )
-    ex.spawn(closer(), name="closer")
-    elapsed = ex.run()
-
-    # Diagonal: local streaming work, overlapped here as a separate phase.
-    if ex.wall_clock:
+        # Diagonal: local streaming work, overlapped here as a separate
+        # phase.
+        op, basis, x, y = self.op, self.basis, self.x, self.y
+        machine, trace, report = self.machine, self.trace, self.report
+        k = self.k
         diag_start = time.perf_counter()
         n_diag = apply_diagonal(op, basis, x, y)
-        diag_elapsed = time.perf_counter() - diag_start
-        if trace is not None:
-            trace.complete(
-                ("diagonal", "main"), "diagonal", elapsed, diag_elapsed
-            )
-            trace.advance(elapsed + diag_elapsed)
-    else:
-        n_diag = apply_diagonal(op, basis, x, y)
-        diag_elapsed = max(
-            machine.compute_time(machine.t_axpy, int(c) * k)
-            for c in basis.counts
-        )
-        if trace is not None:
-            for locale in range(n):
+        if ex.wall_clock:
+            diag_elapsed = time.perf_counter() - diag_start
+            if trace is not None:
                 trace.complete(
-                    (f"locale{locale}", "diagonal"),
-                    "diagonal",
-                    elapsed,
-                    machine.compute_time(
-                        machine.t_axpy, int(basis.counts[locale]) * k
-                    ),
+                    ("diagonal", "main"), "diagonal", elapsed, diag_elapsed
                 )
-            trace.advance(elapsed + diag_elapsed)
-    report.elapsed = elapsed + diag_elapsed
-    report.merge_phase("pipeline", elapsed)
-    report.merge_phase("diagonal", diag_elapsed)
-    report.extras["stall_time"] = float(stall_total.get())
-    report.extras["n_diag"] = float(n_diag)
-    report.extras["producers"] = float(n_prod)
-    report.extras["consumers"] = float(n_cons)
-    report.extras["block_width"] = float(k)
-    report.extras["seconds_per_column"] = report.elapsed / k
-    metrics.counter(
-        "wall.seconds" if ex.wall_clock else "sim.seconds", phase="matvec"
-    ).inc(report.elapsed)
-    attribute_report(report, "matvec.pc", x, y)
-    if metrics.enabled:
-        report.metrics = metrics.snapshot()
-    return y, report
-
-
-class ResilientBuffer:
-    """A :class:`RemoteBuffer` plus the ARQ state of the resilient protocol.
-
-    Stop-and-wait per (producer, destination) pair: the producer bumps
-    ``seq``, stores the clean payload, and transmits; the consumer
-    verifies the checksum, consumes exactly once (``consumed_seq`` guards
-    against duplicated deliveries), and acknowledges by merging the seq
-    into ``acked_seq`` and raising ``ack_flag``.  The producer reuses the
-    buffer only once ``acked_seq`` catches up with ``seq`` — a timed wait,
-    so a lost payload or lost ack triggers a retransmit instead of the
-    silent hang of the unprotected protocol.
-    """
-
-    __slots__ = (
-        "src", "dest", "seq", "acked_seq", "consumed_seq", "ack_flag",
-        "betas", "values", "rows", "checksum", "payload",
-        "uid", "xmit_fates", "ack_fates", "lock",
-    )
-
-    def __init__(self, ex: Executor, src: int, dest: int) -> None:
-        self.src = src
-        self.dest = dest
-        self.seq = 0
-        self.acked_seq = 0
-        self.consumed_seq = 0
-        self.ack_flag = ex.flag(False, name=f"ack[{src}->{dest}]")
-        #: wire fields — what the consumer sees (possibly corrupted)
-        self.betas: np.ndarray | None = None
-        self.values: np.ndarray | None = None
-        self.rows: np.ndarray | None = None
-        self.checksum = 0
-        #: clean (betas, values, rows) kept for retransmits
-        self.payload: tuple | None = None
-        #: deterministic buffer id — the salt of the keyed fate draws on
-        #: the threads backend (set by the owning producer)
-        self.uid = 0
-        #: per-direction fate-draw counters (threads backend: every
-        #: transmit attempt / ack gets its own keyed fate)
-        self.xmit_fates = 0
-        self.ack_fates = 0
-        #: guards wire-field snapshots, consumed_seq check-and-claim and
-        #: acked_seq merges on threads (a no-op context on the simulator,
-        #: where atomicity between yields is free)
-        self.lock = ex.lock()
-
-
-def _resilient_pipeline(
-    op: CompiledOperator,
-    basis: DistributedBasis,
-    x: DistributedVector,
-    y: DistributedVector,
-    *,
-    batch_size: int,
-    consumer_fraction: float,
-    buffer_capacity: int,
-    work_stealing: bool,
-    producers_per_locale: int | None,
-    consumers_per_locale: int | None,
-    plan,
-    faults,
-    resilience: ResilienceConfig,
-    report: SimReport,
-    ledger: CostLedger,
-    metrics,
-    trace,
-) -> tuple[DistributedVector, SimReport]:
-    """The self-healing producer-consumer pipeline (see module docstring).
-
-    Backend-generic: on ``sim`` the injected fates come from the plan's
-    sequential RNG stream and timers are simulated (bit-identical
-    replays, hard-gated by the chaos baselines); on ``threads`` fates
-    are derived per message identity
-    (:meth:`~repro.resilience.faults.FaultPlan.message_fate_keyed`), ack
-    timeouts and injected delays are wall-clock, and the executor itself
-    injects crashes/stragglers and supervises worker restarts.
-    """
-    machine = basis.cluster.machine
-    n = basis.n_locales
-    k = x.n_columns
-    metrics.gauge("matvec.block_width").set(float(k))
-    ex = get_executor(
-        basis.cluster, trace=trace, faults=faults, resilience=resilience
-    )
-    cores = machine.cores_per_locale
-    if producers_per_locale is None or consumers_per_locale is None:
-        n_prod, n_cons = split_cores(cores, consumer_fraction)
-    else:
-        n_prod, n_cons = producers_per_locale, consumers_per_locale
-    if ex.wall_clock:
-        # Real workers: one producer and one consumer thread per locale
-        # unless explicitly overridden (same policy as the plain
-        # pipeline) — no representative-worker rate scaling.
-        sim_prod = (
-            producers_per_locale if producers_per_locale is not None else 1
-        )
-        sim_cons = (
-            consumers_per_locale if consumers_per_locale is not None else 1
-        )
-        n_prod, n_cons = sim_prod, sim_cons
-    else:
-        max_workers = 8
-        sim_prod = min(n_prod, max_workers)
-        sim_cons = min(n_cons, max_workers)
-    t_generate = machine.t_generate * sim_prod / n_prod
-    t_partition = (machine.t_partition + machine.t_hash) * sim_prod / n_prod
-    t_search = machine.t_search_accum * sim_cons / n_cons
-    t_cols_prod = machine.t_axpy * (k - 1) * sim_prod / n_prod
-    t_cols_cons = machine.t_axpy * (k - 1) * sim_cons / n_cons
-    # Representative-worker scaling applies to the checksum kernel too.
-    crc_prod_scale = sim_prod / n_prod
-    crc_cons_scale = sim_cons / n_cons
-    use_checksums = resilience.checksums
-    # On the real backend a fault-free payload moves through coherent
-    # shared memory — there is no wire for bits to flip on, corruption
-    # only ever enters through the fault layer — so the CRC pass is pure
-    # overhead and is elided (the shared-memory-transport analogue of
-    # checksum offload).  The simulator always charges the modelled
-    # checksum time: its timings are baseline-gated bit-identical.
-    wire_checksums = use_checksums and (
-        not ex.wall_clock or faults is not None
-    )
-    # Fault-free on the real backend, the ARQ machinery is semantically
-    # inert: nothing drops (no retransmits), nothing duplicates (no
-    # idempotence guard), nothing crashes (no restart races on the
-    # buffer fields).  The `lean` branches below degenerate it to the
-    # plain pipeline's flag handshake — same yields, no per-handoff
-    # generator delegation, locking, or timeout bookkeeping — which is
-    # what keeps the fault-free wall overhead inside the chaos bench's
-    # 5% budget.  Armed plans (and always the simulator) take the full
-    # protocol.
-    lean = ex.wall_clock and faults is None
-    #: threads: fates are a pure function of message identity, so any
-    #: interleaving of real workers sees the same fault assignment
-    keyed_fates = ex.wall_clock
-
-    net = machine.network
-    nic = [ex.resource(1, name=f"nic{locale}") for locale in range(n)]
-    ready: list = [ex.queue(name=f"ready{locale}") for locale in range(n)]
-    producers_remaining = ex.counter(n * sim_prod)
-    stall_total = ex.counter(0.0)
-    producers_done_flag = ex.flag(False, name="producers_done")
-    consumer_counts = {locale: ex.counter(sim_cons) for locale in range(n)}
-    # One lock per destination locale guards the shared scatter-add into
-    # y.parts[dest] on the threads backend (no-op contexts on sim).
-    consume_locks = [ex.lock(f"consume{locale}") for locale in range(n)]
-
-    def deliver(extra: float, fn) -> None:
-        # The base remote-atomic latency is modelled (zero wall-clock on
-        # threads), but an *injected* delay fate must genuinely postpone
-        # the delivery on every backend.
-        if ex.wall_clock and extra > 0.0:
-            ex.call_after(extra, fn)
+                trace.advance(elapsed + diag_elapsed)
         else:
-            ex.call_later(net.remote_atomic_latency + extra, fn)
+            diag_elapsed = max(
+                machine.compute_time(machine.t_axpy, int(c) * k)
+                for c in basis.counts
+            )
+            if trace is not None:
+                for locale in range(self.n):
+                    trace.complete(
+                        (f"locale{locale}", "diagonal"),
+                        "diagonal",
+                        elapsed,
+                        machine.compute_time(
+                            machine.t_axpy, int(basis.counts[locale]) * k
+                        ),
+                    )
+                trace.advance(elapsed + diag_elapsed)
+        report.elapsed = elapsed + diag_elapsed
+        report.merge_phase("pipeline", elapsed)
+        report.merge_phase("diagonal", diag_elapsed)
+        report.extras["stall_time"] = float(self.stall_total.get())
+        report.extras["n_diag"] = float(n_diag)
+        report.extras["producers"] = float(self.n_prod)
+        report.extras["consumers"] = float(self.n_cons)
+        report.extras["block_width"] = float(k)
+        report.extras["seconds_per_column"] = report.elapsed / k
+        if resilient:
+            report.extras["resilient"] = 1.0
+        return _close_report(report, x, y, ex.wall_clock)
 
-    def ack_fate(rb: ResilientBuffer, locale: int):
+
+class _FlagHandshake:
+    """The paper's ``isFull`` protocol (Sec. 5.3).
+
+    The producer reuses a buffer only after its local flag reads false,
+    sets it, then puts; the consumer clears it with a remote atomic
+    write.  Waiting always happens on local atomics, which is the
+    paper's deadlock-freedom argument.  Termination counts buffers in flight: once every producer
+    has retired and nothing is in flight, the closer releases the
+    consumers.
+    """
+
+    #: buffer flags stay unnamed (no per-edge metric labels)
+    flag_name = None
+
+    def __init__(self, pipe: _Pipeline) -> None:
+        self.p = pipe
+        self.inflight = pipe.ex.counter(0)
+        self.drained = pipe.ex.flag(False)
+
+    def check_drained(self) -> None:
+        if self.p.producers_remaining.get() == 0 and self.inflight.get() == 0:
+            self.drained.set(True)
+
+    def wait(self, rb: RemoteBuffer, acct: dict):
+        yield WaitFlag(rb.flag, False)
+
+    def send(self, rb: RemoteBuffer, betas, values, rows, acct: dict):
+        rb.flag.set(True)
+        rb.betas, rb.values, rb.rows = betas, values, rows
+        self.inflight.add(1)
+        yield from self.p.ship(rb, betas.size)
+
+    def receive(self, rb: RemoteBuffer, locale: int, acct: dict):
+        p = self.p
+        ex = p.ex
+        betas = rb.betas
+        dt = p.t_consume * betas.size
+        before = ex.now
+        p.consume(locale, betas, rb.values, rb.rows)
+        acct["search+accum"] += (ex.now - before) if ex.wall_clock else dt
+        yield Timeout(dt, "search+accum")
+        self.inflight.add(-1)
+        # Clear the producer's local flag with a remote atomic write.
+        if rb.src == locale:
+            rb.flag.set(False)
+        else:
+            p.deliver(lambda flag=rb.flag: flag.set(False))
+        self.check_drained()
+
+    def retire(self, buffers: list, acct: dict):
+        yield from ()
+
+    def quiesce(self):
+        # The last buffer may have drained before the last producer
+        # retired, in which case no consumer saw the final condition.
+        self.check_drained()
+        yield WaitFlag(self.drained, True)
+
+
+class _ArqHandshake:
+    """Stop-and-wait ARQ: seq + CRC32 + ack / timeout / backoff retransmit.
+
+    Per (producer, destination) buffer: the producer keeps the clean
+    ``payload``, bumps ``seq`` and transmits; the consumer verifies the
+    checksum, consumes exactly once (``consumed_seq`` guards against
+    duplicated deliveries) and acknowledges by merging the seq into
+    ``acked_seq`` and raising the buffer's flag.  The producer reuses the
+    buffer only once ``acked_seq`` catches up with ``seq`` — a timed
+    wait, so a lost payload or lost ack triggers a retransmit instead of
+    the silent hang of the flag handshake.  Producers retire only once
+    every payload is acknowledged, so "all producers done" implies "all
+    payloads consumed".  How fates and timers differ per backend: see the
+    module docstring.
+    """
+
+    #: per-edge ack flag names, for deadlock reports and wait metrics
+    flag_name = "ack[{}->{}]"
+
+    def __init__(
+        self, pipe: _Pipeline, faults, resilience: ResilienceConfig
+    ) -> None:
+        self.p = pipe
+        self.faults = faults
+        self.resilience = resilience
+        self.checksums = resilience.checksums
+        # Representative-worker scaling applies to the checksum kernel too.
+        self.crc_prod_scale = pipe.sim_prod / pipe.n_prod
+        self.crc_cons_scale = pipe.sim_cons / pipe.n_cons
+
+    def fate(self, rb: RemoteBuffer, ack: bool = False):
+        """The injected fate of ``rb``'s next data message or ack."""
+        faults = self.faults
         if faults is None:
             return None
-        if keyed_fates:
-            with rb.lock:
-                attempt = rb.ack_fates
-                rb.ack_fates += 1
-            return faults.message_fate_keyed(
-                locale, rb.src, attempt, salt=rb.uid
-            )
-        return faults.message_fate(locale, rb.src)
+        src, dst = (rb.dest, rb.src) if ack else (rb.src, rb.dest)
+        if not self.p.ex.wall_clock:
+            return faults.message_fate(src, dst)
+        # Threads: fates are a pure function of message identity, so any
+        # interleaving of real workers sees the same fault assignment.
+        with rb.lock:
+            attempt = rb.fates[ack]
+            rb.fates[ack] += 1
+        return faults.message_fate_keyed(src, dst, attempt, salt=rb.uid)
 
-    def data_fate(rb: ResilientBuffer):
-        # Producer-side; the owning producer is the only writer of
-        # xmit_fates, so no lock is needed.
-        if keyed_fates:
-            attempt = rb.xmit_fates
-            rb.xmit_fates += 1
-            return faults.message_fate_keyed(
-                rb.src, rb.dest, attempt, salt=rb.uid
-            )
-        return faults.message_fate(rb.src, rb.dest)
-
-    chunk_lists: dict[int, list[tuple[int, int]]] = {}
-    chunk_cursor: dict[int, object] = {}
-    for locale in range(n):
-        count = int(basis.counts[locale])
-        chunk_lists[locale] = [
-            (s, min(s + batch_size, count)) for s in range(0, count, batch_size)
-        ]
-        chunk_cursor[locale] = ex.counter(0)
-
-    def slowdown(locale: int) -> float:
-        return faults.slowdown(locale) if faults is not None else 1.0
-
-    def consumer_body(locale: int):
-        slow = slowdown(locale)
-        busy = 0.0
-        while True:
-            rb = yield Pop(ready[locale])
-            if rb is _SENTINEL:
-                break
-            if lean:
-                # No retransmits, duplicates, or crashes possible: the
-                # ack handshake alone orders producer writes against
-                # this read, exactly as in the plain pipeline.
-                betas, values, rows = rb.betas, rb.values, rb.rows
-                seq = rb.seq
-                before = ex.now
-                with consume_locks[locale]:
-                    consume(
-                        basis, locale, y.parts[locale], betas, values, rows
-                    )
-                busy += ex.now - before
-                yield Timeout(
-                    (t_search + t_cols_cons) * betas.size, "search+accum"
-                )
-                rb.consumed_seq = seq
-                rb.acked_seq = seq
-                rb.ack_flag.set(True)
-                continue
-            # Snapshot the wire fields up front: a retransmit may
-            # overwrite them while this consumer is inside a Timeout
-            # (on threads, while it runs at all — hence the lock).
-            with rb.lock:
-                betas, values, rows = rb.betas, rb.values, rb.rows
-                seq, expected_crc = rb.seq, rb.checksum
-            nbytes = wire_bytes(betas.size, k)
-            if wire_checksums:
-                dt = machine.checksum_time(nbytes) * crc_cons_scale
-                if ex.wall_clock:
-                    before = ex.now
-                    crc_ok = payload_checksum(betas, values) == expected_crc
-                    busy += ex.now - before
-                    yield Timeout(dt, "verify")
-                else:
-                    busy += dt * slow
-                    yield Timeout(dt, "verify")
-                    crc_ok = payload_checksum(betas, values) == expected_crc
-                if not crc_ok:
-                    # Corrupt on the wire: drop without acknowledging;
-                    # the producer's timeout will retransmit.
-                    with ex.mutex:
-                        metrics.counter(
-                            "recovery.checksum_rejects", src=rb.src, dst=locale
-                        ).inc()
-                    continue
-            if ex.wall_clock:
-                # Threads: consume and claim atomically under the buffer
-                # lock, so an injected crash (which can only land on a
-                # yield) never separates them — a killed-and-restarted
-                # consumer either never claimed the payload (retransmit
-                # delivers it again) or fully consumed it (the duplicate
-                # is discarded and re-acknowledged).
-                before = ex.now
-                with rb.lock:
-                    duplicate = seq <= rb.consumed_seq
-                    if not duplicate:
-                        with consume_locks[locale]:
-                            consume(
-                                basis, locale, y.parts[locale],
-                                betas, values, rows,
-                            )
-                        rb.consumed_seq = seq
-                busy += ex.now - before
-                if duplicate:
-                    with ex.mutex:
-                        metrics.counter("recovery.duplicates_discarded").inc()
-                else:
-                    dt = (t_search + t_cols_cons) * betas.size
-                    yield Timeout(dt, "search+accum")
-            elif seq <= rb.consumed_seq:
-                metrics.counter("recovery.duplicates_discarded").inc()
-            else:
-                # Claim the seq BEFORE yielding: a second consumer popping
-                # a duplicated delivery of the same payload mid-Timeout
-                # must see it as already consumed (the check-and-claim is
-                # atomic between yields in the discrete-event simulation).
-                rb.consumed_seq = seq
-                dt = (t_search + t_cols_cons) * betas.size
-                busy += dt * slow
-                yield Timeout(dt, "search+accum")
-                consume(basis, locale, y.parts[locale], betas, values, rows)
-            # Acknowledge (re-acknowledge duplicates: the original ack may
-            # have been the dropped message).
-            if rb.src == locale:
-                with rb.lock:
-                    rb.acked_seq = max(rb.acked_seq, seq)
-                rb.ack_flag.set(True)
-            else:
-                fate = ack_fate(rb, locale)
-                if fate is None or not fate.drop:
-                    extra = fate.extra_delay if fate is not None else 0.0
-
-                    def ack(b=rb, s=seq):
-                        with b.lock:
-                            b.acked_seq = max(b.acked_seq, s)
-                        b.ack_flag.set(True)
-
-                    deliver(extra, ack)
-                    if fate is not None and fate.duplicate:
-                        deliver(extra, ack)
-        with ex.mutex:
-            ledger.add("search+accum", locale, busy)
-
-    def producer_body(locale: int, producer_id: int):
-        slow = slowdown(locale)
-        buffers = [ResilientBuffer(ex, locale, d) for d in range(n)]
-        for d, rb in enumerate(buffers):
-            # Deterministic per-buffer id: the salt of the keyed fate
-            # draws on threads (two producers on one locale must not
-            # share a fate stream).
-            rb.uid = (locale * sim_prod + producer_id) * n + d
-        acct = {"generate": 0.0, "stall": 0.0}
-
-        def transmit(rb: ResilientBuffer, retransmit: bool = False):
-            betas, values, rows = rb.payload
-            nbytes = wire_bytes(betas.size, k)
-            wire_values = values
-            fate = None
-            if faults is not None and rb.dest != locale:
-                fate = data_fate(rb)
-                if fate.corrupt:
-                    wire_values = corrupted_copy(values)
-            crc = 0
-            if wire_checksums:
-                dt = machine.checksum_time(nbytes) * crc_prod_scale
-                if ex.wall_clock:
-                    crc_start = ex.now
-                    crc = payload_checksum(betas, values)
-                    acct["generate"] += ex.now - crc_start
-                else:
-                    crc = payload_checksum(betas, values)
-                    rb.checksum = crc
-                    acct["generate"] += dt * slow
-                yield Timeout(dt, "checksum")
-            with rb.lock:
-                if wire_checksums and ex.wall_clock:
-                    rb.checksum = crc
-                rb.betas = betas
-                rb.values = wire_values
-                rb.rows = rows
-            with ex.mutex:
-                report.messages += 1
-                report.bytes_sent += nbytes
-                if retransmit:
-                    metrics.counter(
-                        "recovery.retransmits", src=locale, dst=rb.dest
-                    ).inc()
-                else:
-                    metrics.counter(
-                        "matvec.messages", src=locale, dst=rb.dest
-                    ).inc()
-                    metrics.counter(
-                        "matvec.bytes", src=locale, dst=rb.dest
-                    ).inc(nbytes)
-                    metrics.histogram("matvec.buffer_elements").observe(
-                        betas.size
-                    )
-            comm_args = (
-                {"src": locale, "dst": rb.dest, "bytes": nbytes, "msgs": 1}
-                if trace is not None
-                else None
-            )
-            if rb.dest == locale:
-                yield Timeout(
-                    machine.memcpy_time(nbytes, 1), "memcpy", comm_args
-                )
-                ready[rb.dest].push(rb)
-            else:
-                yield Acquire(nic[locale])
-                yield Timeout(net.transfer_time(nbytes), "send", comm_args)
-                nic[locale].release()
-                if fate is None or not fate.drop:
-                    extra = fate.extra_delay if fate is not None else 0.0
-                    deliver(extra, lambda q=ready[rb.dest], b=rb: q.push(b))
-                    if fate is not None and fate.duplicate:
-                        deliver(
-                            extra, lambda q=ready[rb.dest], b=rb: q.push(b)
-                        )
-
-        def wait_acked(rb: ResilientBuffer):
-            if rb.seq == 0:
-                return
-            timeout = resilience.ack_timeout
-            retries = 0
-            before = ex.now
-            while rb.acked_seq < rb.seq:
-                ok = yield WaitFlag(rb.ack_flag, True, timeout=timeout)
-                rb.ack_flag.set(False)
-                if ok:
-                    # Either the awaited ack (loop exits) or a stale
-                    # duplicate ack for an older seq (loop waits again).
-                    continue
-                retries += 1
-                with ex.mutex:
-                    metrics.counter(
-                        "fault.timeouts", src=locale, dst=rb.dest
-                    ).inc()
-                if retries > resilience.max_retries:
-                    raise FaultError(
-                        f"RemoteBuffer handoff {locale}->{rb.dest} seq "
-                        f"{rb.seq} unacknowledged after {retries - 1} "
-                        f"retransmits (retry budget "
-                        f"{resilience.max_retries} exhausted)"
-                    )
-                timeout *= resilience.backoff
-                yield from transmit(rb, retransmit=True)
-            if ex.now > before:
-                stalled = ex.now - before
-                acct["stall"] += stalled
-                with ex.mutex:
-                    metrics.histogram("matvec.stall_seconds").observe(stalled)
-
-        while True:
-            c = chunk_cursor[locale].add(1) - 1
-            if c >= len(chunk_lists[locale]):
-                break
-            start, stop = chunk_lists[locale][c]
-            gen_start = ex.now
-            chunk = produce_chunk(
-                op, basis, locale, start, stop, x.parts[locale], plan
-            )
+    def transmit(self, rb: RemoteBuffer, acct: dict, retransmit=False):
+        p = self.p
+        ex = p.ex
+        betas, values, rows = rb.payload
+        fate = self.fate(rb) if rb.dest != rb.src else None
+        if fate is not None and fate.corrupt:
+            values_on_wire = corrupted_copy(values)
+        else:
+            values_on_wire = values
+        if self.checksums:
             dt = (
-                t_generate * chunk.n_emitted
-                + (t_partition + t_cols_prod) * chunk.betas.size
+                p.machine.checksum_time(wire_bytes(betas.size, p.k))
+                * self.crc_prod_scale
             )
-            acct["generate"] += (
-                (ex.now - gen_start) if ex.wall_clock else dt * slow
-            )
-            with ex.mutex:
-                metrics.histogram("matvec.chunk_elements").observe(
-                    chunk.betas.size
-                )
-            yield Timeout(dt, "generate")
-            for shift in range(n):
-                dest = (locale + 1 + shift) % n
-                betas_all, values_all = chunk.slice_for(dest)
-                rows_all = chunk.rows_for(dest)
-                for lo in range(0, betas_all.size, buffer_capacity):
-                    betas = betas_all[lo : lo + buffer_capacity]
-                    values = values_all[lo : lo + buffer_capacity]
-                    rows = (
-                        None
-                        if rows_all is None
-                        else rows_all[lo : lo + buffer_capacity]
-                    )
-                    rb = buffers[dest]
-                    if lean:
-                        # Degenerate stop-and-wait: the ack flag is the
-                        # plain pipeline's is_full handshake, delivery
-                        # is a direct push (remote-atomic latency is
-                        # zero in shared memory), and no payload copy
-                        # is kept (nothing can ask for a retransmit).
-                        if rb.seq:
-                            before = ex.now
-                            yield WaitFlag(rb.ack_flag, True)
-                            rb.ack_flag.set(False)
-                            now = ex.now
-                            if now > before:
-                                acct["stall"] += now - before
-                                with ex.mutex:
-                                    metrics.histogram(
-                                        "matvec.stall_seconds"
-                                    ).observe(now - before)
-                        rb.seq += 1
-                        rb.betas, rb.values, rb.rows = betas, values, rows
-                        nbytes = wire_bytes(betas.size, k)
-                        with ex.mutex:
-                            report.messages += 1
-                            report.bytes_sent += nbytes
-                            metrics.counter(
-                                "matvec.messages", src=locale, dst=dest
-                            ).inc()
-                            metrics.counter(
-                                "matvec.bytes", src=locale, dst=dest
-                            ).inc(nbytes)
-                            metrics.histogram(
-                                "matvec.buffer_elements"
-                            ).observe(betas.size)
-                        comm_args = (
-                            {
-                                "src": locale,
-                                "dst": dest,
-                                "bytes": nbytes,
-                                "msgs": 1,
-                            }
-                            if trace is not None
-                            else None
-                        )
-                        if dest == locale:
-                            yield Timeout(
-                                machine.memcpy_time(nbytes, 1),
-                                "memcpy",
-                                comm_args,
-                            )
-                        else:
-                            yield Acquire(nic[locale])
-                            yield Timeout(
-                                net.transfer_time(nbytes), "send", comm_args
-                            )
-                            nic[locale].release()
-                        ready[dest].push(rb)
-                        continue
-                    yield from wait_acked(rb)
-                    with rb.lock:
-                        rb.seq += 1
-                    rb.payload = (betas, values, rows)
-                    yield from transmit(rb)
-        # Drain: every outstanding payload must be acknowledged before
-        # this producer retires (so "all producers done" implies "all
-        # payloads consumed" and the closer can release the consumers).
-        for rb in buffers:
-            if lean:
-                if rb.seq and rb.acked_seq < rb.seq:
-                    yield WaitFlag(rb.ack_flag, True)
+            crc_start = ex.now
+            crc = payload_checksum(betas, values)
+            if ex.wall_clock:
+                acct["generate"] += ex.now - crc_start
             else:
-                yield from wait_acked(rb)
-        with ex.mutex:
-            ledger.add("generate", locale, acct["generate"])
-            ledger.add("stall", locale, acct["stall"])
-        stall_total.add(acct["stall"])
-        if work_stealing:
-            consumer_counts[locale].add(1)
-        if producers_remaining.add(-1) == 0:
-            producers_done_flag.set(True)
-        if work_stealing:
-            yield from consumer_body(locale)
+                # The simulator stamps the new checksum at once, so a
+                # stale delivery popped during the checksum time fails
+                # verification (baseline-pinned event semantics).
+                rb.checksum = crc
+                acct["generate"] += dt * p.slowdown[rb.src]
+            yield Timeout(dt, "checksum")
+        # Publish seq, checksum and payload in one step: a consumer
+        # snapshot never pairs a new seq with an old payload.
+        with rb.lock:
+            if not retransmit:
+                rb.seq += 1
+            if self.checksums:
+                rb.checksum = crc
+            rb.betas, rb.values, rb.rows = betas, values_on_wire, rows
+        yield from p.ship(rb, betas.size, fate, retransmit)
 
-    def closer():
-        yield WaitFlag(producers_done_flag, True)
-        for locale in range(n):
-            for _ in range(int(consumer_counts[locale].get())):
-                ready[locale].push(_SENTINEL)
-
-    for locale in range(n):
-        for p in range(sim_prod):
-            ex.spawn(
-                producer_body(locale, p),
-                name=f"prod-{locale}-{p}",
-                track=(f"locale{locale}", f"producer{p}"),
-                locale=locale,
-            )
-        for c in range(sim_cons):
-            ex.spawn(
-                consumer_body(locale),
-                name=f"cons-{locale}-{c}",
-                track=(f"locale{locale}", f"consumer{c}"),
-                locale=locale,
-                # Consumers are safely restartable after an injected
-                # crash on threads: consumption state lives in the shared
-                # buffers and consumed_seq makes reprocessing idempotent.
-                # Producers are NOT restartable — a lost in-flight chunk
-                # cursor would corrupt the result, so producer loss
-                # escalates to the operator-level restart/fallback.
-                factory=(lambda locale=locale: consumer_body(locale)),
-            )
-    ex.spawn(closer(), name="closer")
-    elapsed = ex.run()
-
-    if ex.wall_clock:
-        diag_start = time.perf_counter()
-        n_diag = apply_diagonal(op, basis, x, y)
-        diag_elapsed = time.perf_counter() - diag_start
-        if trace is not None:
-            trace.complete(
-                ("diagonal", "main"), "diagonal", elapsed, diag_elapsed
-            )
-            trace.advance(elapsed + diag_elapsed)
-    else:
-        n_diag = apply_diagonal(op, basis, x, y)
-        diag_elapsed = max(
-            machine.compute_time(machine.t_axpy, int(c) * k)
-            for c in basis.counts
-        )
-        if trace is not None:
-            for locale in range(n):
-                trace.complete(
-                    (f"locale{locale}", "diagonal"),
-                    "diagonal",
-                    elapsed,
-                    machine.compute_time(
-                        machine.t_axpy, int(basis.counts[locale]) * k
-                    ),
+    def wait(self, rb: RemoteBuffer, acct: dict):
+        res = self.resilience
+        timeout = res.ack_timeout
+        retries = 0
+        while rb.acked_seq < rb.seq:
+            ok = yield WaitFlag(rb.flag, True, timeout=timeout)
+            rb.flag.set(False)
+            if ok:
+                # Either the awaited ack (loop exits) or a stale
+                # duplicate ack for an older seq (loop waits again).
+                continue
+            retries += 1
+            with self.p.ex.mutex:
+                self.p.metrics.counter(
+                    "fault.timeouts", src=rb.src, dst=rb.dest
+                ).inc()
+            if retries > res.max_retries:
+                raise FaultError(
+                    f"RemoteBuffer handoff {rb.src}->{rb.dest} seq "
+                    f"{rb.seq} unacknowledged after {retries - 1} "
+                    f"retransmits (retry budget {res.max_retries} exhausted)"
                 )
-            trace.advance(elapsed + diag_elapsed)
-    report.elapsed = elapsed + diag_elapsed
-    report.merge_phase("pipeline", elapsed)
-    report.merge_phase("diagonal", diag_elapsed)
-    report.extras["stall_time"] = float(stall_total.get())
-    report.extras["n_diag"] = float(n_diag)
-    report.extras["producers"] = float(n_prod)
-    report.extras["consumers"] = float(n_cons)
-    report.extras["block_width"] = float(k)
-    report.extras["seconds_per_column"] = report.elapsed / k
-    report.extras["resilient"] = 1.0
-    metrics.counter(
-        "wall.seconds" if ex.wall_clock else "sim.seconds", phase="matvec"
-    ).inc(report.elapsed)
-    attribute_report(report, "matvec.pc", x, y)
-    if metrics.enabled:
-        report.metrics = metrics.snapshot()
-    return y, report
+            timeout *= res.backoff
+            yield from self.transmit(rb, acct, retransmit=True)
+
+    def send(self, rb: RemoteBuffer, betas, values, rows, acct: dict):
+        rb.payload = (betas, values, rows)
+        yield from self.transmit(rb, acct)
+
+    def receive(self, rb: RemoteBuffer, locale: int, acct: dict):
+        p = self.p
+        ex = p.ex
+        slow = p.slowdown[locale]
+        # Snapshot the wire fields up front: a retransmit may overwrite
+        # them while this consumer is inside a Timeout (on threads, while
+        # it runs at all — hence the lock).
+        with rb.lock:
+            betas, values, rows = rb.betas, rb.values, rb.rows
+            seq, expected_crc = rb.seq, rb.checksum
+        if self.checksums:
+            dt = (
+                p.machine.checksum_time(wire_bytes(betas.size, p.k))
+                * self.crc_cons_scale
+            )
+            before = ex.now
+            crc_ok = payload_checksum(betas, values) == expected_crc
+            acct["search+accum"] += (
+                (ex.now - before) if ex.wall_clock else dt * slow
+            )
+            yield Timeout(dt, "verify")
+            if not crc_ok:
+                # Corrupt on the wire: drop without acknowledging; the
+                # producer's timeout will retransmit.
+                with ex.mutex:
+                    p.metrics.counter(
+                        "recovery.checksum_rejects", src=rb.src, dst=locale
+                    ).inc()
+                return
+        dt = p.t_consume * betas.size
+        if ex.wall_clock:
+            # Threads: consume and claim atomically under the buffer lock,
+            # so an injected crash (which can only land on a yield) never
+            # separates them — a killed-and-restarted consumer either
+            # never claimed the payload (retransmit delivers it again) or
+            # fully consumed it (the duplicate is discarded and
+            # re-acknowledged).
+            before = ex.now
+            with rb.lock:
+                duplicate = seq <= rb.consumed_seq
+                if not duplicate:
+                    p.consume(locale, betas, values, rows)
+                    rb.consumed_seq = seq
+            acct["search+accum"] += ex.now - before
+            if duplicate:
+                with ex.mutex:
+                    p.metrics.counter("recovery.duplicates_discarded").inc()
+            else:
+                yield Timeout(dt, "search+accum")
+        elif seq <= rb.consumed_seq:
+            p.metrics.counter("recovery.duplicates_discarded").inc()
+        else:
+            # Claim the seq BEFORE yielding: a second consumer popping a
+            # duplicated delivery of the same payload mid-Timeout must
+            # see it as already consumed (the check-and-claim is atomic
+            # between yields in the discrete-event simulation).
+            rb.consumed_seq = seq
+            acct["search+accum"] += dt * slow
+            yield Timeout(dt, "search+accum")
+            p.consume(locale, betas, values, rows)
+
+        # Acknowledge (re-acknowledge duplicates: the original ack may
+        # have been the dropped message).
+        def ack(b=rb, s=seq):
+            with b.lock:
+                b.acked_seq = max(b.acked_seq, s)
+            b.flag.set(True)
+
+        if rb.src == locale:
+            ack()
+        else:
+            p.deliver(ack, self.fate(rb, ack=True))
+
+    def retire(self, buffers: list, acct: dict):
+        # Every outstanding payload must be acknowledged before the
+        # producer retires, so the closer can release the consumers.
+        for rb in buffers:
+            yield from self.p.reclaim(rb, acct)
+
+    def quiesce(self):
+        yield from ()
 
 
 def _shared_memory_matvec(
@@ -1116,7 +901,6 @@ def _shared_memory_matvec(
     k = x.n_columns
     tele = current_telemetry()
     metrics = tele.metrics
-    metrics.gauge("matvec.block_width").set(float(k))
     trace = tele.trace if tele.trace.enabled else None
     wall_start = time.perf_counter()
     apply_diagonal(op, basis, x, y)
@@ -1173,6 +957,12 @@ def _shared_memory_matvec(
     report.extras["consumers"] = float(cores)
     report.extras["block_width"] = float(k)
     report.extras["seconds_per_column"] = elapsed / k
+    return _close_report(report, x, y, wall_clock)
+
+
+def _close_report(report: SimReport, x, y, wall_clock: bool):
+    """Clock-domain seconds counter, job attribution, metrics snapshot."""
+    metrics = current_telemetry().metrics
     metrics.counter(
         "wall.seconds" if wall_clock else "sim.seconds", phase="matvec"
     ).inc(report.elapsed)

@@ -26,13 +26,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.basis import SymmetricBasis
+from repro.basis import SpinBasis, SymmetricBasis
 from repro.distributed import (
     DistributedOperator,
     DistributedVector,
     enumerate_states,
 )
-from repro.errors import BackendError
+from repro.errors import BackendError, ConfigError
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -255,6 +255,52 @@ class TestResilienceOnThreads:
             dop.matvec(dx)
         assert time.perf_counter() - t0 < 30.0, "escalation must not hang"
 
+    def test_duplicate_delivery_never_double_counts(self, rng):
+        """A duplicated delivery popped while its producer refills the
+        buffer must never pair the new seq with the old payload — that
+        consumed one payload twice and the next one not at all.  A short
+        switch interval makes the preemption window routine; more worker
+        threads than cores make it real."""
+        import sys
+
+        from repro.resilience import FaultPlan, ResilienceConfig
+
+        serial = SpinBasis(10, hamming_weight=5)
+        dbasis, _ = enumerate_states(
+            Cluster(3, laptop_machine(cores=4), backend="threads"), serial
+        )
+        expr = repro.heisenberg_chain(10)
+        x = rng.standard_normal(serial.dim)
+        y_ref = repro.Operator(expr, serial).matvec(x)
+        dx = DistributedVector.from_serial(dbasis, serial, x)
+        interval = sys.getswitchinterval()
+        t0 = time.perf_counter()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                dop = DistributedOperator(
+                    expr,
+                    dbasis,
+                    method="pc",
+                    batch_size=16,
+                    buffer_capacity=4,
+                    producers_per_locale=1,
+                    consumers_per_locale=3,
+                    faults=FaultPlan(seed=seed, duplicate=0.5),
+                    resilience=ResilienceConfig(
+                        ack_timeout=0.02,
+                        matvec_restarts=0,
+                        fallback_to_batched=False,
+                    ),
+                )
+                dy = dop.matvec(dx)
+                np.testing.assert_allclose(
+                    dy.to_serial(serial), y_ref, atol=1e-10
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - t0 < 60.0, "chaos run must not hang"
+
     def test_worker_restart_supervision(self):
         """A supervised worker killed by an injected crash restarts with
         its factory and completes the run in-place."""
@@ -285,6 +331,42 @@ class TestResilienceOnThreads:
         ex.run()
         assert seen.get() == 6
         assert ex.crashed_locales == {0}
+
+
+class TestPipelineKnobValidation:
+    """Out-of-range pc knobs raise ConfigError at entry, on both backends,
+    instead of a bare ValueError / ZeroDivisionError from deep inside the
+    pipeline (or a BackendError wrapping one on threads)."""
+
+    @pytest.mark.parametrize("backend", ["sim", "threads"])
+    @pytest.mark.parametrize(
+        "knob, knobs",
+        [
+            ("batch_size", {"batch_size": 0}),
+            ("buffer_capacity", {"buffer_capacity": 0}),
+            ("producers_per_locale",
+             {"producers_per_locale": 0, "consumers_per_locale": 1}),
+            ("consumers_per_locale",
+             {"producers_per_locale": 1, "consumers_per_locale": 0}),
+        ],
+    )
+    def test_out_of_range_knob_is_config_error(self, backend, knob, knobs):
+        _, _, dbasis, expr = build(backend)
+        dop = DistributedOperator(expr, dbasis, method="pc", **knobs)
+        with pytest.raises(ConfigError, match=knob):
+            dop.matvec(DistributedVector.full_random(dbasis, seed=1))
+
+    @pytest.mark.parametrize("backend", ["sim", "threads"])
+    @pytest.mark.parametrize(
+        "knob", ["producers_per_locale", "consumers_per_locale"]
+    )
+    def test_worker_overrides_come_in_pairs(self, backend, knob):
+        """One override alone used to be ignored on sim (the split won)
+        and honoured on threads; now it is rejected on both."""
+        _, _, dbasis, expr = build(backend)
+        dop = DistributedOperator(expr, dbasis, method="pc", **{knob: 2})
+        with pytest.raises(ConfigError, match="together"):
+            dop.matvec(DistributedVector.full_random(dbasis, seed=1))
 
 
 class TestSimDeterminismAcrossRefactor:

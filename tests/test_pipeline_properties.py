@@ -5,6 +5,11 @@ symmetry sector, and a random cluster shape; the producer-consumer
 matrix-vector product on the simulated cluster must agree exactly with the
 serial reference operator.  This is the strongest single statement the
 test suite makes about the paper's contribution.
+
+The draw also covers both handshakes of the one pipeline body: the flag
+handshake (no resilience), and the ARQ handshake (``ResilienceConfig()``
+and/or a seeded drop/duplicate/corrupt ``FaultPlan``), which must either
+heal to the exact result or raise a typed ``FaultError``.
 """
 
 import numpy as np
@@ -17,11 +22,20 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
-from repro.errors import InvalidSectorError
+from repro.errors import FaultError, InvalidSectorError
+from repro.resilience import FaultPlan, ResilienceConfig
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
 coupling_st = st.integers(min_value=-2, max_value=2).map(float)
+
+fault_plans_st = st.none() | st.builds(
+    FaultPlan,
+    seed=st.integers(min_value=0, max_value=2**16),
+    drop=st.sampled_from([0.0, 0.05]),
+    duplicate=st.sampled_from([0.0, 0.05]),
+    corrupt=st.sampled_from([0.0, 0.03]),
+)
 
 
 @st.composite
@@ -50,6 +64,8 @@ def u1_hamiltonians(draw, n_sites):
     momentum=st.integers(min_value=0, max_value=11),
     batch_size=st.sampled_from([8, 64, 1024]),
     work_stealing=st.booleans(),
+    resilience=st.sampled_from([None, ResilienceConfig()]),
+    faults=fault_plans_st,
 )
 @settings(
     max_examples=25,
@@ -57,7 +73,8 @@ def u1_hamiltonians(draw, n_sites):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_distributed_pc_matvec_equals_serial(
-    data, n_sites, n_locales, momentum, batch_size, work_stealing
+    data, n_sites, n_locales, momentum, batch_size, work_stealing,
+    resilience, faults,
 ):
     momentum %= n_sites
     weight = n_sites // 2
@@ -94,7 +111,13 @@ def test_distributed_pc_matvec_equals_serial(
         dbasis,
         batch_size=batch_size,
         work_stealing=work_stealing,
+        faults=faults,
+        resilience=resilience,
     )
     dx = DistributedVector.from_serial(dbasis, serial, xs)
-    dy = dop.matvec(dx)
+    try:
+        dy = dop.matvec(dx)
+    except FaultError:
+        assert faults is not None  # only injected faults may defeat it
+        return
     np.testing.assert_allclose(dy.to_serial(serial), y_ref, atol=1e-12)
